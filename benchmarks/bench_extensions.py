@@ -3,8 +3,8 @@
 * split vs merge vs hybrid resolution: view growth and task moves per
   strategy (the paper's open problem, quantified);
 * incremental editor validation vs from-scratch validation per edit;
-* interval-labelled reachability vs the bitset closure on provenance-sized
-  graphs (the graph-management angle);
+* bitset-closure reachability queries on provenance-sized graphs (the
+  graph-management angle);
 * sound-view suggestion: compression achieved while staying sound.
 """
 
@@ -18,7 +18,6 @@ from repro.core.corrector import Criterion, correct_view
 from repro.core.merging import Resolution, hybrid_correct
 from repro.core.soundness import is_sound_view, unsound_composites
 from repro.graphs.generators import layered_dag
-from repro.graphs.intervals import IntervalIndex
 from repro.graphs.reachability import ReachabilityIndex
 from repro.repository.corpus import build_corpus
 from repro.views.diff import view_delta
@@ -110,39 +109,6 @@ def big_graph():
     return layered_dag(rng, 20, 12, edge_prob=0.3)
 
 
-def test_interval_index_agrees_and_prunes(big_graph):
-    exact = ReachabilityIndex(big_graph)
-    interval = IntervalIndex(big_graph, traversals=3,
-                             rng=random.Random(0))
-    rng = random.Random(5)
-    nodes = big_graph.nodes()
-    sample = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(500)]
-    mismatches = sum(
-        1 for u, v in sample
-        if interval.reaches(u, v) != exact.reaches(u, v))
-    print_table(
-        "E9c: interval-label index vs bitset closure",
-        ["metric", "value"],
-        [["sampled queries", len(sample)],
-         ["mismatches", mismatches],
-         ["label-only refutations", f"{interval.refutation_rate:.0%}"]])
-    assert mismatches == 0
-    assert interval.refutation_rate > 0.2
-
-
-def test_benchmark_interval_queries(benchmark, big_graph):
-    interval = IntervalIndex(big_graph, traversals=3,
-                             rng=random.Random(0))
-    rng = random.Random(5)
-    nodes = big_graph.nodes()
-    sample = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
-
-    def query_all():
-        return sum(1 for u, v in sample if interval.reaches(u, v))
-
-    benchmark(query_all)
-
-
 def test_benchmark_bitset_queries(benchmark, big_graph):
     exact = ReachabilityIndex(big_graph)
     rng = random.Random(5)
@@ -153,48 +119,6 @@ def test_benchmark_bitset_queries(benchmark, big_graph):
         return sum(1 for u, v in sample if exact.reaches(u, v))
 
     benchmark(query_all)
-
-
-def test_benchmark_chain_queries(benchmark, big_graph):
-    from repro.graphs.chains import ChainIndex
-
-    chains = ChainIndex(big_graph)
-    rng = random.Random(5)
-    nodes = big_graph.nodes()
-    sample = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(200)]
-
-    def query_all():
-        return sum(1 for u, v in sample if chains.reaches(u, v))
-
-    benchmark(query_all)
-
-
-def test_reachability_indexes_agree_three_ways(big_graph):
-    """E9f: bitset vs interval vs chain index — same answers, different
-    build/memory/query trade-offs (chain count stays small on staged
-    workflows, which is the regime the index targets)."""
-    from repro.graphs.chains import ChainIndex
-
-    exact = ReachabilityIndex(big_graph)
-    interval = IntervalIndex(big_graph, traversals=3,
-                             rng=random.Random(0))
-    chains = ChainIndex(big_graph)
-    rng = random.Random(6)
-    nodes = big_graph.nodes()
-    sample = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(400)]
-    for u, v in sample:
-        truth = exact.reaches(u, v)
-        assert interval.reaches(u, v) == truth
-        assert chains.reaches(u, v) == truth
-    print_table(
-        "E9f: reachability index comparison",
-        ["index", "notes"],
-        [["bitset closure", f"{len(nodes)} nodes fully materialised"],
-         ["interval (GRAIL)",
-          f"{interval.refutation_rate:.0%} label-only refutations"],
-         ["chain decomposition",
-          f"{chains.chain_count} chains over {len(nodes)} nodes"]])
-    assert chains.chain_count < len(nodes) / 4
 
 
 def test_incremental_reexecution_savings(corpus):

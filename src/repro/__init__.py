@@ -53,9 +53,9 @@ from repro.provenance import (
     LineageAnswer,
     LineageQueryEngine,
     execute,
-    lineage_tasks,
     lineage_correctness,
 )
+from repro.provenance.facade import hydrated_lineage_tasks as lineage_tasks
 from repro.options import ResolvedOptions, resolve_options
 from repro.repository import build_corpus
 from repro.repository.corpus import CorpusSpec, materialize_corpus

@@ -39,8 +39,6 @@ from repro.graphs.reachability import (
     restrict_index,
     transitive_closure,
 )
-from repro.graphs.intervals import IntervalIndex
-from repro.graphs.chains import ChainIndex
 from repro.graphs.convexity import is_convex, convex_closure, between
 
 __all__ = [
@@ -59,8 +57,6 @@ __all__ = [
     "get_kernel",
     "popcount",
     "restrict_index",
-    "IntervalIndex",
-    "ChainIndex",
     "transitive_closure",
     "is_convex",
     "convex_closure",

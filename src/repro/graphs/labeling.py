@@ -1,8 +1,8 @@
 """Persistable reachability labels: spanning-forest intervals + spill.
 
-The XPath-accelerator observation behind :mod:`repro.graphs.intervals`
-(pre/post-order numbers turn ancestor/descendant tests into range
-predicates) extends from trees to DAGs by splitting the edge set:
+The XPath-accelerator observation (pre/post-order numbers turn
+ancestor/descendant tests into range predicates) extends from trees to
+DAGs by splitting the edge set:
 
 * a **spanning forest** — every node keeps one *tree parent* (its first
   recorded predecessor), so forest ancestorship is exactly interval
@@ -21,9 +21,8 @@ predicates) extends from trees to DAGs by splitting the edge set:
 ``answers(labels) = range-scan(tree part) ∪ decode(spill part)`` is
 *exact* — the spill is defined as the closure minus the forest closure,
 so nothing is approximated and nothing needs a confirming traversal
-(unlike the probabilistic refutation labels of ``intervals.py``).  Long
-thin workflow DAGs (the chain-decomposition regime of
-``chains.py``) make the forest cover most of the closure, so the spill
+(unlike GRAIL-style probabilistic refutation labels).  Long thin
+workflow DAGs make the forest cover most of the closure, so the spill
 blobs stay small; the worst case is bounded by the closure itself.
 
 The module is deliberately graph-flavoured and storage-agnostic: it
@@ -35,7 +34,7 @@ them into SQL.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.graphs.kernels import get_kernel
 from repro.graphs.reachability import KernelLike, closure_masks

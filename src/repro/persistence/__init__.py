@@ -9,8 +9,8 @@ idiom of production SQLite schemas:
 
 * :class:`DurableProvenanceStore`
   (:mod:`repro.persistence.store`) — the append-only run log on disk;
-  secondary indexes rebuilt lazily on open, so every
-  :mod:`repro.provenance.queries` path stays index-only and
+  secondary indexes rebuilt lazily on open, so every hydrated query
+  path of :mod:`repro.provenance.facade` stays index-only and
   bit-identical to the volatile :class:`~repro.provenance.store.
   ProvenanceStore`;
 * :class:`AnalysisResultCache` (:mod:`repro.persistence.cache`) —

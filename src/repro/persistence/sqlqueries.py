@@ -1,7 +1,7 @@
 """Lineage queries as SQL range scans over persisted reachability labels.
 
-This module is the cold-store counterpart of
-:mod:`repro.provenance.queries`: every query shape the in-memory
+This module is the cold-store counterpart of the ``hydrated_*`` query
+functions of :mod:`repro.provenance.facade`: every query shape the in-memory
 :class:`~repro.provenance.index.ProvenanceIndex` answers (lineage
 artifacts/invocations/tasks, downstream tasks, batched ``*_many`` forms,
 cone-of-change, exit lineage, and the cross-run sweeps) is answered here
@@ -178,7 +178,7 @@ class SqlLineageQueries:
 
     # -- per-run lineage queries -------------------------------------------
     #
-    # shapes and ordering mirror repro.provenance.queries exactly
+    # shapes and ordering mirror the facade's hydrated_* functions exactly
 
     def lineage_artifacts(self, run_id: str, artifact_id: str) -> List[str]:
         label = self._node_label(run_id, "artifact", artifact_id)

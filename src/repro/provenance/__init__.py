@@ -13,8 +13,6 @@ motivation end to end:
 * :mod:`~repro.provenance.facade` — the unified
   :class:`LineageQueryEngine` query façade (typed answers; hydrated or
   SQL execution path) — the supported query surface;
-* :mod:`~repro.provenance.queries` — the legacy module-function query
-  surface, now deprecated shims over the façade's implementations;
 * :mod:`~repro.provenance.viewlevel` — view-level provenance analysis and
   its correctness metrics: a sound view answers lineage queries exactly;
   an unsound view produces the spurious dependencies of Figure 1.
@@ -33,16 +31,6 @@ from repro.provenance.facade import (
     RunsAnswer,
 )
 from repro.provenance.index import ProvenanceIndex
-from repro.provenance.queries import (
-    cone_of_change,
-    downstream_tasks,
-    downstream_tasks_many,
-    lineage_artifacts,
-    lineage_invocations,
-    lineage_many,
-    lineage_tasks,
-    lineage_tasks_many,
-)
 from repro.provenance.viewlevel import (
     view_lineage,
     lineage_correctness,
@@ -62,14 +50,6 @@ __all__ = [
     "LineageAnswer",
     "ArtifactAnswer",
     "RunsAnswer",
-    "lineage_artifacts",
-    "lineage_invocations",
-    "lineage_tasks",
-    "lineage_many",
-    "lineage_tasks_many",
-    "downstream_tasks",
-    "downstream_tasks_many",
-    "cone_of_change",
     "view_lineage",
     "lineage_correctness",
     "LineageComparison",

@@ -1,12 +1,9 @@
 """The unified lineage query façade: one engine, two execution paths.
 
-Four overlapping query surfaces grew around provenance — the module
-functions of :mod:`repro.provenance.queries` and their ``*_many``
-variants, the cross-run methods on
-:class:`~repro.provenance.store.ProvenanceStore`, and the
-:class:`~repro.system.session.WolvesSession` passthroughs.  All of them
-returned bare sets/lists/tuples, and none of them could say *how* an
-answer was produced.  :class:`LineageQueryEngine` replaces the lot:
+:class:`LineageQueryEngine` is the one lineage query surface (it
+replaced the earlier module functions, the cross-run store methods and
+the session passthroughs, which returned bare sets and could not say
+*how* an answer was produced):
 
 * one constructor — wrap a single :class:`WorkflowRun` or a whole store
   (volatile or durable);
@@ -32,10 +29,9 @@ Planner rules (``prefer="auto"``):
    an unlabeled run raises
    :class:`~repro.persistence.sqlqueries.LabelsMissingError`.
 
-The old entry points survive as deprecated shims that delegate to the
-``hydrated_*`` implementations below (shared so the shims and the engine
-cannot drift) — the ``-W error::DeprecationWarning`` CI leg proves no
-in-repo caller still uses them.
+The ``hydrated_*`` functions below are the in-memory path the engine
+delegates to; they take a bare :class:`WorkflowRun` and return bare
+sets and lists.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     FrozenSet,
     Iterable,
@@ -65,16 +60,6 @@ SOURCE_HYDRATED = "hydrated"
 SOURCE_SQL = "sql"
 
 _PREFERENCES = ("auto", "hydrated", "sql")
-
-
-def warn_deprecated(old: str, new: str) -> None:
-    """The one deprecation message shape every legacy shim emits."""
-    import warnings
-
-    warnings.warn(
-        f"{old} is deprecated; use {new} "
-        f"(repro.provenance.facade.LineageQueryEngine)",
-        DeprecationWarning, stacklevel=3)
 
 
 # -- typed answers -----------------------------------------------------------
@@ -132,8 +117,8 @@ class RunsAnswer:
 
 # -- hydrated implementations ------------------------------------------------
 #
-# the single source of truth for the in-memory path; the engine and the
-# deprecated shims in repro.provenance.queries both delegate here
+# the single source of truth for the in-memory path; the engine delegates
+# here
 
 
 def hydrated_lineage_artifacts(run: "WorkflowRun",
@@ -148,6 +133,8 @@ def hydrated_lineage_invocations(run: "WorkflowRun",
 
 def hydrated_lineage_tasks(run: "WorkflowRun",
                            task_id: TaskId) -> Set[TaskId]:
+    """The bare-set form of
+    ``LineageQueryEngine(run=run).lineage_tasks(task_id).tasks``."""
     artifact = run.output_artifact(task_id)
     tasks = run.provenance_index().lineage_tasks_of_artifact(
         artifact.artifact_id)

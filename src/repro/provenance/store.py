@@ -31,7 +31,7 @@ from typing import Any, Dict, FrozenSet, List, Set
 
 from repro.errors import ProvenanceError
 from repro.provenance.execution import WorkflowRun
-from repro.provenance.facade import hydrated_exit_lineage, warn_deprecated
+from repro.provenance.facade import hydrated_exit_lineage
 from repro.provenance.model import Artifact, Invocation, ProvenanceGraph
 from repro.workflow.spec import WorkflowSpec
 from repro.workflow.task import TaskId
@@ -140,35 +140,6 @@ class ProvenanceStore:
         """
         return [run_id for run_id in self._runs
                 if task_id in self._exit_lineage_of(run_id)]
-
-    # -- deprecated query surface (use LineageQueryEngine) ----------------
-
-    def runs_of_task(self, task_id: TaskId) -> List[str]:
-        """Deprecated: use ``LineageQueryEngine(store=...).runs_of_task``."""
-        warn_deprecated("ProvenanceStore.runs_of_task",
-                        "LineageQueryEngine.runs_of_task")
-        return self._runs_of_task(task_id)
-
-    def runs_consuming(self, payload: Any) -> List[str]:
-        """Deprecated: use
-        ``LineageQueryEngine(store=...).runs_consuming``."""
-        warn_deprecated("ProvenanceStore.runs_consuming",
-                        "LineageQueryEngine.runs_consuming")
-        return self._runs_consuming(payload)
-
-    def exit_lineage(self, run_id: str) -> FrozenSet[TaskId]:
-        """Deprecated: use
-        ``LineageQueryEngine(store=...).exit_lineage``."""
-        warn_deprecated("ProvenanceStore.exit_lineage",
-                        "LineageQueryEngine.exit_lineage")
-        return self._exit_lineage_query(run_id)
-
-    def runs_with_lineage_through(self, task_id: TaskId) -> List[str]:
-        """Deprecated: use
-        ``LineageQueryEngine(store=...).runs_with_lineage_through``."""
-        warn_deprecated("ProvenanceStore.runs_with_lineage_through",
-                        "LineageQueryEngine.runs_with_lineage_through")
-        return self._runs_with_lineage_through(task_id)
 
     def runs_depending_on_output_of(self, run_id: str,
                                     task_id: TaskId) -> List[str]:

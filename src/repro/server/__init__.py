@@ -15,6 +15,8 @@ Entry points:
 
 * :class:`AnalysisDaemon` / :func:`start_in_thread` — the daemon and
   the in-process harness;
+* :mod:`repro.server.transport` — the TCP core and thread harness
+  (:class:`ServerHandle`) the daemon and the gateway both run over;
 * :class:`DaemonClient` — the blocking client (``wolves submit`` /
   ``jobs`` / ``cancel``);
 * :class:`JobManifest` and :mod:`repro.server.protocol` — the wire
@@ -34,11 +36,10 @@ from repro.server.cluster import (
     WorkerEndpoint,
     shard_of,
 )
-from repro.server.daemon import AnalysisDaemon, DaemonHandle, start_in_thread
+from repro.server.daemon import AnalysisDaemon, start_in_thread
 from repro.server.gateway import (
     ClusterGateway,
     GatewayClient,
-    GatewayHandle,
     GatewayJobResult,
     start_gateway_in_thread,
 )
@@ -52,6 +53,7 @@ from repro.server.protocol import (
     RUNNING,
     JobManifest,
 )
+from repro.server.transport import ServerHandle
 
 __all__ = [
     "CANCELLED",
@@ -66,13 +68,12 @@ __all__ = [
     "ClusterMap",
     "ClusterSupervisor",
     "DaemonClient",
-    "DaemonHandle",
     "GatewayClient",
-    "GatewayHandle",
     "GatewayJobResult",
     "JobLog",
     "JobManifest",
     "JobResult",
+    "ServerHandle",
     "WorkerEndpoint",
     "inspect_job_log",
     "shard_of",

@@ -141,7 +141,7 @@ class _Worker:
         self.shard = shard
         self.mode = mode
         self.db_path = db_path
-        self.handle = None  # thread mode: DaemonHandle
+        self.handle = None  # thread mode: ServerHandle
         self.proc = None  # process mode: DaemonProcess
 
     @property
@@ -342,7 +342,8 @@ class ClusterHandle:
     def drain(self) -> None:
         """Stop accepting new submissions at the gateway (existing jobs
         keep running and their streams keep flowing)."""
-        self.gateway.drain()
+        self.gateway.call_soon(setattr, self.gateway.server, "draining",
+                               True)
 
     def stop(self) -> None:
         """Drain, stop the gateway, stop every worker."""

@@ -3,10 +3,12 @@
 :class:`AnalysisDaemon` is an asyncio TCP server speaking the NDJSON
 protocol of :mod:`repro.server.protocol`.  Its moving parts:
 
-* **connection handling** — one reader loop per client plus one writer
-  task draining a per-connection outbox queue, so record streams from
-  background jobs never interleave partially with request/response
-  frames and a slow or vanished client never blocks the daemon;
+* **connection handling** — over the shared
+  :class:`~repro.server.transport.StreamServer` transport, one reader
+  loop per client plus one writer task draining a per-connection outbox
+  queue, so record streams from background jobs never interleave
+  partially with request/response frames and a slow or vanished client
+  never blocks the daemon;
 * **the job queue** — submissions become :class:`~repro.server.jobs.
   Computation` entries in a bounded priority queue; an over-limit
   submission is rejected with the typed ``queue_full`` error
@@ -40,7 +42,6 @@ one I/O thread.
 from __future__ import annotations
 
 import asyncio
-import socket
 import threading
 import time
 from collections import deque
@@ -76,6 +77,7 @@ from repro.server.protocol import (
     record_to_wire,
     utc_now,
 )
+from repro.server.transport import ServerHandle, StreamServer
 from repro.service.service import AnalysisService
 
 
@@ -96,8 +98,10 @@ class _Connection:
         self.outbox.put_nowait(frame)
 
 
-class AnalysisDaemon:
+class AnalysisDaemon(StreamServer):
     """The serving layer over :class:`AnalysisService`."""
+
+    read_limit = protocol.MAX_FRAME_BYTES
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  db_path: Optional[str] = None,
@@ -116,8 +120,7 @@ class AnalysisDaemon:
             raise ValueError("retain_jobs must be >= 1")
         if max_outbox < 1:
             raise ValueError("max_outbox must be >= 1")
-        self.host = host
-        self.port = port
+        super().__init__(host, port)
         self.db_path = db_path
         self.parallel_jobs = parallel_jobs
         self.service_workers = service_workers
@@ -150,14 +153,8 @@ class AnalysisDaemon:
         self._io = ThreadPoolExecutor(max_workers=1,
                                       thread_name_prefix="wolves-joblog")
         self._joblog: Optional[JobLog] = None
-        self._listener: Optional[socket.socket] = None
-        self._accept_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
-        self._writers: set = set()
         self._dispatchers: List[asyncio.Task] = []
         self._cond: Optional[asyncio.Condition] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopping = False
         #: test hook: when set, computations wait for this event before
         #: computing (still honouring cancellation), which makes queue /
         #: cancellation tests deterministic
@@ -185,77 +182,30 @@ class AnalysisDaemon:
         if self.db_path is not None:
             self._joblog = await self._io_call(JobLog, self.db_path)
             await self._resume()
-        # the accept loop is hand-rolled (loop.sock_accept) rather than
-        # asyncio.start_server: every accepted socket is then provably
-        # either handed to a handler task or closed right here, even
-        # mid-shutdown — start_server's internals can silently drop an
-        # accepted fd when the server closes in the same loop iteration,
-        # which leaves that client hanging instead of seeing EOF
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(128)
-            listener.setblocking(False)
-        except OSError:
-            listener.close()
-            raise
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._accept_task = self._loop.create_task(self._accept_loop())
+        await self._listen()
         self._dispatchers = [
             self._loop.create_task(self._dispatch_loop())
             for _ in range(self.parallel_jobs)]
         self._reaper_task = self._loop.create_task(self._reaper_loop())
 
-    async def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _addr = await self._loop.sock_accept(
-                    self._listener)
-            except (OSError, asyncio.CancelledError):
-                return
-            if self._stopping:
-                conn.close()
-                continue
-            try:
-                faults.fire("daemon.accept")
-            except (ReproError, ConnectionError, OSError):
-                conn.close()  # injected: the client sees a dropped dial
-                continue
-            task = self._loop.create_task(self._conn_main(conn))
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-
-    async def _conn_main(self, conn: socket.socket) -> None:
+    def _admit(self) -> bool:
         try:
-            reader, writer = await asyncio.open_connection(
-                sock=conn, limit=protocol.MAX_FRAME_BYTES)
-        except OSError:
-            conn.close()
-            return
-        await self._handle_client(reader, writer)
+            faults.fire("daemon.accept")
+        except (ReproError, ConnectionError, OSError):
+            return False  # injected: the client sees a dropped dial
+        return True
 
     async def stop(self) -> None:
         """Graceful shutdown: stop accepting, cancel dispatchers, let
         running sweeps stop at their next shard, close the job log.
         Unfinished jobs stay ``queued``/``running`` in the log and are
         resumed by the next daemon on this database."""
-        self._stopping = True
+        await self._stop_listening()
         if self._reaper_task is not None:
             self._reaper_task.cancel()
             await asyncio.gather(self._reaper_task,
                                  return_exceptions=True)
             self._reaper_task = None
-        if self._accept_task is not None:
-            self._accept_task.cancel()
-            await asyncio.gather(self._accept_task,
-                                 return_exceptions=True)
-            self._accept_task = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
         for computation in list(self._running):
             computation.cancel_event.set()
         async with self._cond:
@@ -268,20 +218,8 @@ class AnalysisDaemon:
             await self._io_call(self._joblog.close)
             self._joblog = None
         self._io.shutdown(wait=True)
-        # close live client connections last and drain their handler
-        # tasks: blocked clients get EOF (never a timeout), handlers
-        # accepted in the shutdown window self-close on seeing
-        # _stopping, and no fd outlives this coroutine
-        for writer in list(self._writers):
-            writer.close()
-        for writer in list(self._writers):
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if self._conn_tasks:
-            await asyncio.gather(*list(self._conn_tasks),
-                                 return_exceptions=True)
+        # close live client connections last: blocked clients get EOF
+        await self._close_connections()
 
     def run(self, on_ready=None) -> None:
         """Blocking entry point (the ``wolves serve`` body): serve until
@@ -749,20 +687,11 @@ class AnalysisDaemon:
 
     # -- the connection loop -----------------------------------------------
 
-    async def _handle_client(self, reader: asyncio.StreamReader,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
         """One client.  Any failure here — bad frames, a vanished peer —
         ends this connection only; the daemon keeps serving."""
-        if self._stopping:
-            # accepted in the shutdown race window: refuse politely
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            return
         conn = _Connection()
-        self._writers.add(writer)
         drain_task = self._loop.create_task(self._drain(conn, writer))
         try:
             while True:
@@ -784,17 +713,11 @@ class AnalysisDaemon:
                     conn.send({"type": "error", "code": "server_error",
                                "message": f"{type(exc).__name__}: {exc}"})
         finally:
-            self._writers.discard(writer)
             for job in conn.watched:
                 if conn in job.watchers:
                     job.watchers.remove(conn)
             conn.outbox.put_nowait(None)
             await drain_task
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
 
     async def _drain(self, conn: _Connection,
                      writer: asyncio.StreamWriter) -> None:
@@ -857,97 +780,7 @@ class AnalysisDaemon:
 # -- the in-process harness ---------------------------------------------------
 
 
-class DaemonHandle:
-    """A daemon running on its own event loop in a background thread —
-    the harness tests, benchmarks and examples share."""
-
-    def __init__(self, daemon: AnalysisDaemon, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop,
-                 stop_request: asyncio.Event) -> None:
-        self.daemon = daemon
-        self._thread = thread
-        self._loop = loop
-        self._stop_request = stop_request
-        self._stopped = False
-
-    @property
-    def host(self) -> str:
-        return self.daemon.host
-
-    @property
-    def port(self) -> int:
-        return self.daemon.port
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        try:
-            self._loop.call_soon_threadsafe(self._stop_request.set)
-        except RuntimeError:
-            pass  # loop already gone (boot failure path)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "DaemonHandle":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-
-def start_in_thread(**kwargs) -> DaemonHandle:
+def start_in_thread(**kwargs) -> ServerHandle:
     """Start an :class:`AnalysisDaemon` on a fresh background event
-    loop; returns once the socket is bound (``handle.port`` is real).
-
-    The serving thread owns the loop end to end: on stop it runs
-    ``daemon.stop()`` *and drains every remaining task* before closing
-    the loop, so a connection accepted in the shutdown race window
-    still gets its handler's early-exit close — clients see EOF, never
-    a leaked half-open socket.
-    """
-    daemon = AnalysisDaemon(**kwargs)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    boot_error: List[BaseException] = []
-    stop_request = asyncio.Event()
-
-    async def _main() -> None:
-        try:
-            await daemon.start()
-        except BaseException as exc:  # surface bind/resume failures
-            boot_error.append(exc)
-            ready.set()
-            return
-        ready.set()
-        await stop_request.wait()
-        await daemon.stop()
-        # drain to quiescence: tasks can spawn tasks (asyncio's accept
-        # machinery spawns the connection handler, which early-exits
-        # and closes its socket because the daemon is stopping), so one
-        # pass is not enough — iterate until no task remains
-        for _ in range(10):
-            current = asyncio.current_task()
-            pending = [task for task in asyncio.all_tasks()
-                       if task is not current]
-            if not pending:
-                break
-            _done, rest = await asyncio.wait(pending, timeout=5.0)
-            for task in rest:
-                task.cancel()
-            await asyncio.gather(*rest, return_exceptions=True)
-
-    def _serve() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(_main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_serve, name="wolves-daemon",
-                              daemon=True)
-    thread.start()
-    ready.wait(timeout=30.0)
-    if boot_error:
-        thread.join(timeout=30.0)
-        raise boot_error[0]
-    return DaemonHandle(daemon, thread, loop, stop_request)
+    loop; returns once the socket is bound (``handle.port`` is real)."""
+    return ServerHandle(AnalysisDaemon(**kwargs), name="wolves-daemon")

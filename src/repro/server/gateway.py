@@ -72,8 +72,6 @@ import json
 import math
 import os
 import random
-import socket
-import threading
 import time
 import uuid
 from dataclasses import dataclass, field
@@ -101,6 +99,7 @@ from repro.server.protocol import (
     raise_error_frame,
     record_from_wire,
 )
+from repro.server.transport import ServerHandle, StreamServer
 
 #: HTTP status for each typed error code the gateway can answer with
 STATUS_BY_CODE = {
@@ -127,6 +126,10 @@ REASONS = {200: "OK", 400: "Bad Request", 401: "Unauthorized",
 
 #: largest request head/body the gateway will read
 MAX_REQUEST_BYTES = protocol.MAX_FRAME_BYTES
+
+#: how long a request's head and body together may take to arrive; a
+#: peer that sends half a request (slowloris) is disconnected after this
+REQUEST_READ_TIMEOUT_S = 30.0
 
 #: the connect-retry envelope while a shard's worker restarts: jittered
 #: exponential backoff, budget-bounded by ``worker_wait_s``
@@ -169,8 +172,10 @@ class _Request:
         return payload
 
 
-class ClusterGateway:
+class ClusterGateway(StreamServer):
     """The HTTP/JSON front door over a :class:`ClusterMap` of workers."""
+
+    read_limit = MAX_REQUEST_BYTES
 
     def __init__(self, cluster_map: ClusterMap,
                  host: str = "127.0.0.1", port: int = 0, *,
@@ -184,9 +189,8 @@ class ClusterGateway:
                  health_timeout: float = 1.0,
                  quarantine_strikes: int = 3,
                  quarantine_retry_after: float = 2.0) -> None:
+        super().__init__(host, port)
         self.map = cluster_map
-        self.host = host
-        self.port = port
         #: token -> client name; ``None`` disables auth (every request
         #: is the ``anonymous`` client — the single-user dev setup)
         self.tokens = dict(tokens) if tokens is not None else None
@@ -215,81 +219,23 @@ class ClusterGateway:
                       "quota_rejected": 0, "worker_retries": 0,
                       "health_probes": 0, "health_failures": 0,
                       "errors": 0}
-        self._listener: Optional[socket.socket] = None
-        self._accept_task: Optional[asyncio.Task] = None
         self._health_task: Optional[asyncio.Task] = None
-        self._conn_tasks: set = set()
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stopping = False
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
         """Bind and serve; ``port=0`` picks a free port (read it back
         from :attr:`port`)."""
-        self._loop = asyncio.get_running_loop()
-        # hand-rolled accept loop, same rationale as the daemon's: an
-        # accepted socket is provably handed to a handler or closed
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        try:
-            listener.setsockopt(socket.SOL_SOCKET,
-                                socket.SO_REUSEADDR, 1)
-            listener.bind((self.host, self.port))
-            listener.listen(128)
-            listener.setblocking(False)
-        except OSError:
-            listener.close()
-            raise
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        self._accept_task = self._loop.create_task(self._accept_loop())
+        await self._listen()
         self._health_task = self._loop.create_task(self._health_loop())
 
-    async def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _addr = await self._loop.sock_accept(
-                    self._listener)
-            except (OSError, asyncio.CancelledError):
-                return
-            if self._stopping:  # pragma: no cover - accept/stop race
-                conn.close()
-                continue
-            task = self._loop.create_task(self._conn_main(conn))
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-
-    async def _conn_main(self, conn: socket.socket) -> None:
-        try:
-            reader, writer = await asyncio.open_connection(
-                sock=conn, limit=MAX_REQUEST_BYTES)
-        except OSError:  # pragma: no cover - peer died inside accept
-            conn.close()
-            return
-        try:
-            await self._handle_conn(reader, writer)
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-
     async def stop(self) -> None:
-        self._stopping = True
-        for task in (self._accept_task, self._health_task):
-            if task is not None:
-                task.cancel()
-                await asyncio.gather(task, return_exceptions=True)
-        self._accept_task = self._health_task = None
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        if self._conn_tasks:
-            for task in list(self._conn_tasks):
-                task.cancel()
-            await asyncio.gather(*list(self._conn_tasks),
-                                 return_exceptions=True)
+        await self._stop_listening()
+        if self._health_task is not None:
+            self._health_task.cancel()
+            await asyncio.gather(self._health_task, return_exceptions=True)
+            self._health_task = None
+        await self._close_connections()
 
     # -- worker health -----------------------------------------------------
 
@@ -864,8 +810,8 @@ class ClusterGateway:
 
     # -- HTTP plumbing -----------------------------------------------------
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
+    async def _serve(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
         while not self._stopping:
             request = await self._read_request(reader)
             if request is None:
@@ -876,10 +822,15 @@ class ClusterGateway:
 
     async def _read_request(self, reader: asyncio.StreamReader
                             ) -> Optional[_Request]:
+        """The next request, or ``None`` to close the connection: EOF, a
+        malformed head, or a head and body that took longer than
+        :data:`REQUEST_READ_TIMEOUT_S` to arrive."""
+        deadline = self._loop.time() + REQUEST_READ_TIMEOUT_S
         try:
-            head = await reader.readuntil(b"\r\n\r\n")
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"),
+                                          REQUEST_READ_TIMEOUT_S)
         except (asyncio.IncompleteReadError, asyncio.LimitOverrunError,
-                ConnectionError, OSError):
+                asyncio.TimeoutError, ConnectionError, OSError):
             return None
         lines = head.decode("latin-1").split("\r\n")
         parts = lines[0].split(" ")
@@ -901,9 +852,10 @@ class ClusterGateway:
             if n < 0 or n > MAX_REQUEST_BYTES:
                 return None
             try:
-                body = await reader.readexactly(n)
-            except (asyncio.IncompleteReadError, ConnectionError,
-                    OSError):
+                body = await asyncio.wait_for(reader.readexactly(n),
+                                              deadline - self._loop.time())
+            except (asyncio.IncompleteReadError, asyncio.TimeoutError,
+                    ConnectionError, OSError):
                 return None
         return _Request(method=method.upper(), path=path,
                         headers=headers, body=body)
@@ -994,89 +946,12 @@ class ClusterGateway:
 # -- the in-process harness ---------------------------------------------------
 
 
-class GatewayHandle:
-    """A gateway on its own event loop in a background thread (mirror
-    of :class:`~repro.server.daemon.DaemonHandle`)."""
-
-    def __init__(self, gateway: ClusterGateway,
-                 thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop,
-                 stop_request: asyncio.Event) -> None:
-        self.gateway = gateway
-        self._thread = thread
-        self._loop = loop
-        self._stop_request = stop_request
-        self._stopped = False
-
-    @property
-    def host(self) -> str:
-        return self.gateway.host
-
-    @property
-    def port(self) -> int:
-        return self.gateway.port
-
-    def drain(self) -> None:
-        """Flip the draining flag on the gateway's loop: new
-        submissions get the typed 503, everything else keeps working."""
-        def _set() -> None:
-            self.gateway.draining = True
-
-        self._loop.call_soon_threadsafe(_set)
-
-    def stop(self, timeout: float = 30.0) -> None:
-        if self._stopped:
-            return
-        self._stopped = True
-        try:
-            self._loop.call_soon_threadsafe(self._stop_request.set)
-        except RuntimeError:  # pragma: no cover - boot failure path
-            pass
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "GatewayHandle":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.stop()
-
-
 def start_gateway_in_thread(cluster_map: ClusterMap,
-                            **kwargs) -> GatewayHandle:
+                            **kwargs) -> ServerHandle:
     """Start a :class:`ClusterGateway` on a fresh background event
     loop; returns once the socket is bound (``handle.port`` is real)."""
-    gateway = ClusterGateway(cluster_map, **kwargs)
-    loop = asyncio.new_event_loop()
-    ready = threading.Event()
-    boot_error: List[BaseException] = []
-    stop_request = asyncio.Event()
-
-    async def _main() -> None:
-        try:
-            await gateway.start()
-        except BaseException as exc:  # surface bind failures
-            boot_error.append(exc)
-            ready.set()
-            return
-        ready.set()
-        await stop_request.wait()
-        await gateway.stop()
-
-    def _serve() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(_main())
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=_serve, name="wolves-gateway",
-                              daemon=True)
-    thread.start()
-    ready.wait(timeout=30.0)
-    if boot_error:
-        thread.join(timeout=30.0)
-        raise boot_error[0]
-    return GatewayHandle(gateway, thread, loop, stop_request)
+    return ServerHandle(ClusterGateway(cluster_map, **kwargs),
+                        name="wolves-gateway")
 
 
 # -- the blocking client ------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.core.split import SplitResult
 from repro.errors import CorrectionError, ProvenanceError, ViewError
 from repro.options import resolve_options
 from repro.provenance.execution import WorkflowRun
-from repro.provenance.facade import LineageQueryEngine, warn_deprecated
+from repro.provenance.facade import LineageQueryEngine
 from repro.provenance.store import ProvenanceStore
 from repro.provenance.viewlevel import (
     LineageComparison,
@@ -218,22 +218,6 @@ class WolvesSession:
     def queries(self) -> LineageQueryEngine:
         """The unified lineage query façade over the session's store."""
         return LineageQueryEngine(store=self.store)
-
-    def lineage_tasks(self, task_id,
-                      run_id: Optional[str] = None) -> set:
-        """Deprecated: use ``session.queries.lineage_tasks(...).tasks``."""
-        warn_deprecated("WolvesSession.lineage_tasks",
-                        "WolvesSession.queries.lineage_tasks")
-        return set(self.queries.lineage_tasks(task_id, run_id=run_id).tasks)
-
-    def downstream_tasks(self, task_id,
-                         run_id: Optional[str] = None) -> set:
-        """Deprecated: use
-        ``session.queries.downstream_tasks(...).tasks``."""
-        warn_deprecated("WolvesSession.downstream_tasks",
-                        "WolvesSession.queries.downstream_tasks")
-        return set(
-            self.queries.downstream_tasks(task_id, run_id=run_id).tasks)
 
     def compare_lineage(self, task_id) -> LineageComparison:
         """View answer vs truth for one provenance query on the current

@@ -7,12 +7,13 @@ really keeps the connection, deadlines arm at the gateway hop and
 produce the typed timeout, replica reads answer from the durable shard
 logs without touching the writers, a second gateway over the same
 workers discovers existing jobs (the routing-memory fallback), and a
-gateway whose socket cannot bind or whose workers never answer fails
-loudly and typed.
+gateway whose workers never answer fails loudly and typed.  (A bind
+conflict is pinned for both servers in ``tests/test_transport.py``.)
 """
 
 import socket
 import threading
+import time
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.server import (
     WorkerEndpoint,
     start_gateway_in_thread,
 )
+from repro.server import gateway as gateway_module
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::pytest.PytestUnhandledThreadExceptionWarning")
@@ -42,28 +44,30 @@ def manifest(seed, count=2):
 
 def raw_http(port, payload: bytes, recv: bool = True) -> bytes:
     """One raw TCP exchange with the gateway (for requests no sane
-    client library will emit)."""
+    client library will emit): everything the server sends until it
+    closes the connection.  A server that never closes raises
+    ``socket.timeout`` here rather than passing for one that did."""
     with socket.create_connection(("127.0.0.1", port), timeout=10) as s:
         s.sendall(payload)
         if not recv:
             return b""
-        s.settimeout(10)
         chunks = []
-        try:
-            while True:
-                chunk = s.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        except socket.timeout:
-            pass
+        while True:
+            chunk = s.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
         return b"".join(chunks)
 
 
 class TestHttpSurface:
-    def test_malformed_requests_close_cleanly(self, cluster_factory):
+    def test_malformed_requests_close_cleanly(self, cluster_factory,
+                                              monkeypatch):
         """Garbage heads, bad request lines, and bad content-lengths
-        must drop the connection without wedging the accept loop."""
+        must drop the connection without wedging the accept loop; a
+        request that never finishes arriving is closed by the server's
+        read deadline, well before the client's own 10s timeout."""
+        monkeypatch.setattr(gateway_module, "REQUEST_READ_TIMEOUT_S", 0.3)
         cluster = cluster_factory(1, mode="thread")
         port = cluster.port
         for payload in (
@@ -74,11 +78,15 @@ class TestHttpSurface:
                 b"GET / HTTP/1.1\r\ncontent-length: 99999999999\r\n\r\n",
         ):
             assert raw_http(port, payload) == b""
-        # a body that never arrives: connection just closes
-        assert raw_http(
-            port,
-            b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 50\r\n\r\nhalf",
-        ) == b""
+        # a head or a body that never completes (slowloris): the
+        # server sends EOF once the read deadline passes
+        for payload in (
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n",
+                b"POST /v1/jobs HTTP/1.1\r\ncontent-length: 50\r\n\r\nhalf",
+        ):
+            started = time.monotonic()
+            assert raw_http(port, payload) == b""
+            assert time.monotonic() - started < 3.0
         # and the gateway is still alive for well-formed traffic
         assert GatewayClient(port).health()["workers"]
 
@@ -258,12 +266,6 @@ class TestSecondGateway:
 
 
 class TestBootAndHealth:
-    def test_bind_conflict_raises_instead_of_half_starting(
-            self, cluster_factory):
-        cluster = cluster_factory(1, mode="thread")
-        with pytest.raises(OSError):
-            start_gateway_in_thread(cluster.map, port=cluster.port)
-
     def test_unanswering_worker_is_marked_down_by_the_health_loop(
             self):
         """A worker that accepts and immediately hangs up fails its

@@ -9,8 +9,8 @@ queries are order-bearing: insertion order for index sweeps, topological
 order for lineage).  Randomized run sequences over randomized specs pin
 this across:
 
-* every run-level query in :mod:`repro.provenance.queries`, including
-  the batched ``*_many`` forms and ``cone_of_change``;
+* every run-level hydrated query of :mod:`repro.provenance.facade`,
+  including the batched ``*_many`` forms and ``cone_of_change``;
 * every store-level index query (producers, consumers, task runs,
   exit lineage, lineage-through, depends-on-output);
 * divergence / blame and the portable JSON export.
@@ -93,7 +93,7 @@ def assert_query_equivalence(spec, volatile, durable):
     tasks = list(spec.task_ids())
     run_ids = volatile.run_ids()
 
-    # -- run-level queries (repro.provenance.queries), per reloaded run --
+    # -- run-level queries (the facade's hydrated_*), per reloaded run --
     for run_id in run_ids:
         v_run, d_run = volatile.run(run_id), durable.run(run_id)
         artifact_ids = [v_run.outputs[t] for t in tasks]

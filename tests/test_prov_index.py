@@ -1,7 +1,7 @@
 """Equivalence properties of the indexed provenance query engine.
 
 The indexed read path (:mod:`repro.provenance.index`,
-:mod:`repro.provenance.queries`, the store's secondary indexes) must answer
+:mod:`repro.provenance.facade`, the store's secondary indexes) must answer
 every query shape exactly as the naive traversal it replaced: rebuild the
 OPM digraph, BFS it with :func:`repro.graphs.topo.ancestors_of` /
 :func:`~repro.graphs.topo.descendants_of`, filter by node kind.  The naive

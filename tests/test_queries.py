@@ -1,8 +1,8 @@
 """Unit tests for the hydrated lineage query implementations.
 
-These were born as tests of ``repro.provenance.queries``; the bodies now
-live in :mod:`repro.provenance.facade` (the old module is a deprecated
-shim layer — see test_query_facade for the shim contract)."""
+These were born as tests of the module-function query surface; the
+bodies now live in :mod:`repro.provenance.facade` as the ``hydrated_*``
+functions the engine delegates to."""
 
 from repro.provenance.execution import execute
 from repro.provenance.facade import (

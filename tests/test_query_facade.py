@@ -1,31 +1,22 @@
-"""The unified query façade and the deprecation of the old surfaces.
+"""The unified query façade: typed answers and the one query surface.
 
-Every pre-façade entry point — the :mod:`repro.provenance.queries`
-module functions, the cross-run ``ProvenanceStore`` methods, and the
-``WolvesSession`` passthroughs — must still answer exactly as before
-*and* raise a :class:`DeprecationWarning` naming its replacement, so
-downstream code keeps working while the ``-W error::DeprecationWarning``
-CI leg keeps this repository itself honest.
+:class:`~repro.provenance.facade.LineageQueryEngine` is the only lineage
+query surface; the pre-façade shims (``repro.provenance.queries``, the
+cross-run ``ProvenanceStore`` wrappers, the ``WolvesSession``
+passthroughs) are gone.  ``repro.lineage_tasks`` stays as the README
+quickstart's bare-set helper and must agree with the engine.
 """
 
 import pytest
 
-from repro.provenance import queries
+import repro
 from repro.provenance.execution import execute
 from repro.provenance.facade import (
     ArtifactAnswer,
     LineageAnswer,
     LineageQueryEngine,
     RunsAnswer,
-    hydrated_cone_of_change,
-    hydrated_downstream_tasks,
-    hydrated_downstream_tasks_many,
-    hydrated_exit_lineage,
     hydrated_lineage_artifacts,
-    hydrated_lineage_invocations,
-    hydrated_lineage_many,
-    hydrated_lineage_tasks,
-    hydrated_lineage_tasks_many,
 )
 from repro.provenance.store import ProvenanceStore
 from repro.system.session import WolvesSession
@@ -48,58 +39,17 @@ def store():
     return store
 
 
-class TestDeprecatedQueryFunctions:
-    """queries.<fn> == facade.hydrated_<fn>, plus the warning."""
-
-    def test_every_shim_warns_and_delegates(self, run):
-        artifact = run.outputs[4]
-        cases = [
-            (queries.lineage_tasks, hydrated_lineage_tasks, (run, 4)),
-            (queries.downstream_tasks, hydrated_downstream_tasks,
-             (run, 1)),
-            (queries.lineage_artifacts, hydrated_lineage_artifacts,
-             (run, artifact)),
-            (queries.lineage_invocations, hydrated_lineage_invocations,
-             (run, artifact)),
-            (queries.lineage_many, hydrated_lineage_many,
-             (run, [artifact])),
-            (queries.lineage_tasks_many, hydrated_lineage_tasks_many,
-             (run, [1, 4])),
-            (queries.downstream_tasks_many,
-             hydrated_downstream_tasks_many, (run, [1, 4])),
-            (queries.cone_of_change, hydrated_cone_of_change,
-             (run, [2])),
-        ]
-        for shim, hydrated, args in cases:
-            with pytest.warns(DeprecationWarning,
-                              match="LineageQueryEngine"):
-                answer = shim(*args)
-            assert answer == hydrated(*args)
-
-    def test_warning_names_the_old_entry_point(self, run):
-        with pytest.warns(DeprecationWarning, match="lineage_tasks"):
-            queries.lineage_tasks(run, 4)
+class TestTopLevelLineageTasks:
+    def test_matches_the_engine_for_every_task(self, run):
+        engine = LineageQueryEngine(run=run)
+        for task_id in diamond_spec().task_ids():
+            assert repro.lineage_tasks(run, task_id) == \
+                engine.lineage_tasks(task_id).tasks
 
 
-class TestDeprecatedStoreMethods:
-    def test_cross_run_shims_warn_and_match_engine(self, store):
-        engine = LineageQueryEngine(store=store)
-        payload = store.run("r0").output_artifact(1).payload
-        with pytest.warns(DeprecationWarning):
-            assert store.runs_of_task(1) == \
-                list(engine.runs_of_task(1))
-        with pytest.warns(DeprecationWarning):
-            assert store.runs_consuming(payload) == \
-                list(engine.runs_consuming(payload))
-        with pytest.warns(DeprecationWarning):
-            assert store.exit_lineage("r0") == \
-                engine.exit_lineage("r0").tasks
-        with pytest.warns(DeprecationWarning):
-            assert store.runs_with_lineage_through(2) == \
-                list(engine.runs_with_lineage_through(2))
-
-    def test_non_deprecated_store_surface_is_quiet(self, store,
-                                                   recwarn):
+class TestStoreSurface:
+    def test_store_queries_emit_no_deprecation_warnings(self, store,
+                                                        recwarn):
         payload = store.run("r0").output_artifact(1).payload
         store.runs_producing(payload)
         store.divergence("r0", "r1")
@@ -122,14 +72,6 @@ class TestSessionSurface:
         assert isinstance(answer, LineageAnswer)
         assert answer.run_id == "gui-1"
         assert answer.tasks == frozenset({1, 2, 3})
-
-    def test_passthrough_shims_warn_and_match(self):
-        session = self.session()
-        with pytest.warns(DeprecationWarning, match="queries"):
-            assert session.lineage_tasks(4) == {1, 2, 3}
-        with pytest.warns(DeprecationWarning, match="queries"):
-            assert session.downstream_tasks(1) == \
-                set(session.queries.downstream_tasks(1).tasks)
 
 
 class TestAnswerTypes:

@@ -243,10 +243,14 @@ class TestClientHangFix:
         thread = threading.Thread(target=accept_loop, daemon=True)
         thread.start()
         yield listener.getsockname()[1]
+        # close() alone does not wake a thread blocked in accept();
+        # shutdown() does, so the join below returns at once
+        listener.shutdown(socket.SHUT_RDWR)
         listener.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
         for conn in accepted:
             conn.close()
-        thread.join(timeout=5)
 
     def test_waited_submit_honours_the_deadline(self, black_hole):
         client = GatewayClient(black_hole)

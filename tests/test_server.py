@@ -373,14 +373,6 @@ class TestRunEntryPoint:
             socket.create_connection(("127.0.0.1", seen["port"]),
                                      timeout=0.5)
 
-    def test_bind_failure_surfaces_from_the_harness(self,
-                                                    daemon_factory):
-        from repro.server import start_in_thread
-
-        first = daemon_factory()
-        with pytest.raises(OSError):
-            start_in_thread(port=first.port)  # address already in use
-
     def test_client_against_stopped_daemon_raises_typed_error(
             self, daemon_factory):
         from repro.errors import ServerError
@@ -476,7 +468,7 @@ class TestRetention:
         m = manifest()
         with DaemonClient(daemon.port) as client:
             result = client.submit(m)
-            job = daemon.daemon._jobs[result.job_id]
+            job = daemon.server._jobs[result.job_id]
             # in-memory copy released; count survives for listings
             assert job.records == [] and job.records_in_log
             assert job.record_count == len(result.records)
